@@ -49,6 +49,8 @@ COUNTERS: dict[str, str] = {
                            "ladder (margins, restarts)",
     "sched.list.tightenings": "budget-minimization re-runs after a "
                               "feasible schedule was found",
+    "sched.list.fit_checks": "reservation-table probes by the list "
+                             "scheduler (summed per attempt)",
     "sched.regalloc.intervals": "value lifetime intervals bound to "
                                 "physical registers",
     "sched.regalloc.overflows": "register-file overflows (allocation "

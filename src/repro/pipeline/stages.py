@@ -247,7 +247,8 @@ class ScheduleStage(Stage):
 
     def run(self, state: CompileState) -> None:
         options = state.request.options
-        graph = build_dependence_graph(state.artifacts["program"])
+        with current_telemetry().span("schedule.dependence"):
+            graph = build_dependence_graph(state.artifacts["program"])
         schedule = list_schedule(graph, budget=options.budget,
                                  restarts=options.restarts,
                                  seed=options.seed)

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
+from ..errors import SchedulingError
 from ..rtgen.program import RTProgram
 from ..rtgen.rt import RT
 
@@ -48,20 +50,60 @@ class Edge:
     distance: int = 0
 
 
+class Adjacency:
+    """The distance-0 edges of a :class:`DependenceGraph`, integer-indexed.
+
+    ``index`` maps each RT to its position in ``graph.rts``;
+    ``successors[i]``/``predecessors[i]`` hold ``(other, delay)`` pairs
+    in edge order; ``order`` is a topological order of the positions, or
+    None when the block body has a dependence cycle (each analysis
+    raises its own error then).
+    """
+
+    __slots__ = ("index", "successors", "predecessors", "order")
+
+    def __init__(self, graph: "DependenceGraph"):
+        self.index: dict[RT, int] = {rt: i for i, rt in enumerate(graph.rts)}
+        n = len(graph.rts)
+        self.successors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.predecessors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for edge in graph.edges:
+            if edge.distance != 0:
+                continue
+            src, dst = self.index[edge.src], self.index[edge.dst]
+            self.successors[src].append((dst, edge.delay))
+            self.predecessors[dst].append((src, edge.delay))
+        indegree = [len(preds) for preds in self.predecessors]
+        stack = [i for i in range(n) if indegree[i] == 0]
+        order: list[int] = []
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for dst, _ in self.successors[i]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    stack.append(dst)
+        self.order: list[int] | None = order if len(order) == n else None
+
+
 @dataclass
 class DependenceGraph:
     rts: list[RT]
     edges: list[Edge]
 
-    def successors(self, rt: RT) -> list[Edge]:
-        return [e for e in self.edges if e.src is rt and e.distance == 0]
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """The shared integer-indexed adjacency, built on first use.
 
-    def predecessors(self, rt: RT) -> list[Edge]:
-        return [e for e in self.edges if e.dst is rt and e.distance == 0]
+        Graphs are not mutated after construction.  The index is left
+        out of pickles and copies (the stage cache stores graphs), and
+        rebuilt on first use after a restore."""
+        return Adjacency(self)
 
-    def critical_path_length(self) -> int:
-        priority = compute_priorities(self)
-        return max(priority.values(), default=0)
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("adjacency", None)
+        return state
 
 
 def build_dependence_graph(program: RTProgram,
@@ -141,40 +183,16 @@ def compute_priorities(graph: DependenceGraph) -> dict[RT, int]:
     The classic list-scheduling priority: transfers on the critical
     path first.  Computed over distance-0 edges (the block body).
     """
-    successors: dict[RT, list[Edge]] = {rt: [] for rt in graph.rts}
-    indegree_out: dict[RT, int] = {rt: 0 for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        successors[edge.src].append(edge)
-        indegree_out[edge.src] += 1
-
-    priority: dict[RT, int] = {}
-
-    order: list[RT] = []
-    # Kahn's algorithm on the reversed graph (process sinks first).
-    remaining = {rt: len(successors[rt]) for rt in graph.rts}
-    stack = [rt for rt, n in remaining.items() if n == 0]
-    predecessors: dict[RT, list[Edge]] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-    while stack:
-        rt = stack.pop()
-        order.append(rt)
-        priority[rt] = max(
-            (priority[e.dst] + e.delay for e in successors[rt]),
-            default=rt.latency - 1,
-        )
-        for edge in predecessors[rt]:
-            remaining[edge.src] -= 1
-            if remaining[edge.src] == 0:
-                stack.append(edge.src)
-    if len(order) != len(graph.rts):
-        from ..errors import SchedulingError
+    adjacency = graph.adjacency
+    if adjacency.order is None:
         raise SchedulingError(
             "dependence cycle among register transfers within one "
             "iteration (is a state read at delay 0?)"
         )
-    return priority
+    priority = [0] * len(graph.rts)
+    for i in reversed(adjacency.order):
+        priority[i] = max(
+            (priority[dst] + delay for dst, delay in adjacency.successors[i]),
+            default=graph.rts[i].latency - 1,
+        )
+    return dict(zip(graph.rts, priority))

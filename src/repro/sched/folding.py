@@ -17,6 +17,8 @@ the achieved II next to the unfolded schedule length.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 
 from ..errors import SchedulingError
@@ -76,26 +78,23 @@ def recurrence_mii(graph: DependenceGraph) -> int:
     simple carrier cycles (reader -> writer -> next-iteration reader);
     a longest-path sweep per carry edge suffices.
     """
-    longest_to: dict[RT, dict[RT, int]] = {}
+    adjacency = graph.adjacency
+    longest_to: dict[int, dict[int, int]] = {}
 
-    def longest_paths(src: RT) -> dict[RT, int]:
+    def longest_paths(src: int) -> dict[int, int]:
         if src in longest_to:
             return longest_to[src]
-        distances: dict[RT, int] = {src: 0}
+        distances: dict[int, int] = {src: 0}
         order = [src]
         index = 0
-        successors: dict[RT, list] = {}
-        for edge in graph.edges:
-            if edge.distance == 0:
-                successors.setdefault(edge.src, []).append(edge)
         while index < len(order):
-            rt = order[index]
+            i = order[index]
             index += 1
-            for edge in successors.get(rt, []):
-                candidate = distances[rt] + edge.delay
-                if candidate > distances.get(edge.dst, -1):
-                    distances[edge.dst] = candidate
-                    order.append(edge.dst)
+            for dst, delay in adjacency.successors[i]:
+                candidate = distances[i] + delay
+                if candidate > distances.get(dst, -1):
+                    distances[dst] = candidate
+                    order.append(dst)
         longest_to[src] = distances
         return distances
 
@@ -103,9 +102,10 @@ def recurrence_mii(graph: DependenceGraph) -> int:
     for edge in graph.edges:
         if edge.distance != 1:
             continue
-        distances = longest_paths(edge.dst)
-        if edge.src in distances:
-            cycle_delay = distances[edge.src] + edge.delay
+        distances = longest_paths(adjacency.index[edge.dst])
+        src = adjacency.index[edge.src]
+        if src in distances:
+            cycle_delay = distances[src] + edge.delay
             best = max(best, cycle_delay)  # distance sum is 1
     return best
 
@@ -120,8 +120,9 @@ def modulo_schedule(
     upper = max_ii if max_ii is not None else (
         budget_hint if budget_hint is not None else lower + len(graph.rts)
     )
+    priority = compute_priorities(graph)
     for ii in range(lower, upper + 1):
-        folded = _try_ii(graph, ii)
+        folded = _try_ii(graph, ii, priority)
         if folded is not None:
             folded.validate(graph)
             return folded
@@ -130,18 +131,18 @@ def modulo_schedule(
     )
 
 
-def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
-    priority = compute_priorities(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance == 0:
-            predecessors[edge.dst].append(edge)
-            successors[edge.src].append(edge)
+def _try_ii(graph: DependenceGraph, ii: int,
+            priority: dict[RT, int]) -> FoldedSchedule | None:
+    adjacency = graph.adjacency
+    rts = graph.rts
 
     order = sorted(graph.rts, key=lambda rt: (-priority[rt], rt.uid))
     slots: dict[tuple[str, int], tuple[str, int]] = {}
     cycle_of: dict[RT, int] = {}
+    # (resource, slot mod II) -> placed RTs booking it, each mapped to
+    # its placement sequence number (cycle_of's insertion order).
+    owners: dict[tuple[str, int], dict[RT, int]] = {}
+    sequence = itertools.count()
 
     def fits(rt: RT, cycle: int) -> bool:
         for use in rt.uses:
@@ -156,28 +157,33 @@ def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
         return True
 
     def place(rt: RT, cycle: int) -> None:
+        placed = next(sequence)
         for use in rt.uses:
-            slots[(use.resource, (cycle + use.offset) % ii)] = (
-                use.usage, cycle + use.offset,
-            )
+            key = (use.resource, (cycle + use.offset) % ii)
+            slots[key] = (use.usage, cycle + use.offset)
+            owners.setdefault(key, {})[rt] = placed
         cycle_of[rt] = cycle
 
     def unplace(rt: RT) -> None:
         cycle = cycle_of.pop(rt)
         for use in rt.uses:
-            slots.pop((use.resource, (cycle + use.offset) % ii), None)
+            key = (use.resource, (cycle + use.offset) % ii)
+            slots.pop(key, None)
+            owners[key].pop(rt, None)
 
     max_attempts = len(graph.rts) * 16
     attempts = 0
-    pending = list(order)
+    pending = collections.deque(order)
     while pending:
         attempts += 1
         if attempts > max_attempts:
             return None
-        rt = pending.pop(0)
+        rt = pending.popleft()
+        index = adjacency.index[rt]
         earliest = max(
-            (cycle_of[e.src] + e.delay for e in predecessors[rt]
-             if e.src in cycle_of),
+            (cycle_of[rts[src]] + delay
+             for src, delay in adjacency.predecessors[index]
+             if rts[src] in cycle_of),
             default=0,
         )
         placed = False
@@ -187,27 +193,25 @@ def _try_ii(graph: DependenceGraph, ii: int) -> FoldedSchedule | None:
                 placed = True
                 break
         if not placed:
-            # Evict a conflicting transfer (iterative modulo scheduling).
+            # Evict every transfer booking a slot this one needs
+            # (iterative modulo scheduling), oldest placement first.
             cycle = earliest
-            victims = [
-                other for other in list(cycle_of)
-                if any(
-                    (cycle_of[other] + uo.offset) % ii == (cycle + uv.offset) % ii
-                    and uo.resource == uv.resource
-                    for uo in other.uses for uv in rt.uses
-                )
-            ]
+            victims: dict[RT, int] = {}
+            for use in rt.uses:
+                victims.update(
+                    owners.get((use.resource, (cycle + use.offset) % ii), {}))
             if not victims:
                 return None
-            for victim in victims:
+            for victim in sorted(victims, key=victims.__getitem__):
                 unplace(victim)
                 pending.append(victim)
             place(rt, cycle)
         # Dependents placed earlier than allowed must be re-scheduled.
-        for edge in successors[rt]:
-            if edge.dst in cycle_of and cycle_of[edge.dst] < cycle_of[rt] + edge.delay:
-                unplace(edge.dst)
-                pending.append(edge.dst)
+        for dst, delay in adjacency.successors[index]:
+            successor = rts[dst]
+            if successor in cycle_of and cycle_of[successor] < cycle_of[rt] + delay:
+                unplace(successor)
+                pending.append(successor)
     # Check distance-1 edges; if violated, fail this II.
     for edge in graph.edges:
         if edge.distance == 1:

@@ -38,37 +38,33 @@ def execution_intervals(
     """ASAP/ALAP windows under ``budget``; raises if already infeasible."""
     if budget < 1:
         raise SchedulingError(f"cycle budget must be >= 1, got {budget}")
-    order = _topological(graph)
-    predecessors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        predecessors[edge.dst].append(edge)
-        successors[edge.src].append(edge)
-
-    asap: dict[RT, int] = {}
-    for rt in order:
-        asap[rt] = max(
-            (asap[e.src] + e.delay for e in predecessors[rt]), default=0
+    adjacency = graph.adjacency
+    if adjacency.order is None:
+        raise SchedulingError("dependence cycle within one iteration")
+    rts = graph.rts
+    asap = [0] * len(rts)
+    for i in adjacency.order:
+        asap[i] = max(
+            (asap[src] + delay for src, delay in adjacency.predecessors[i]),
+            default=0,
         )
-    alap: dict[RT, int] = {}
-    for rt in reversed(order):
-        latest_finish = budget - max(rt.latency, rt.max_offset + 1)
-        alap[rt] = min(
-            (alap[e.dst] - e.delay for e in successors[rt]),
+    alap = [0] * len(rts)
+    for i in reversed(adjacency.order):
+        latest_finish = budget - max(rts[i].latency, rts[i].max_offset + 1)
+        alap[i] = min(
+            (alap[dst] - delay for dst, delay in adjacency.successors[i]),
             default=latest_finish,
         )
 
     intervals: dict[RT, ExecutionInterval] = {}
-    for rt in graph.rts:
-        if asap[rt] > alap[rt]:
+    for i, rt in enumerate(rts):
+        if asap[i] > alap[i]:
             raise SchedulingError(
                 f"{rt!r} has an empty execution interval "
-                f"[{asap[rt]}, {alap[rt]}] under budget {budget}: the "
+                f"[{asap[i]}, {alap[i]}] under budget {budget}: the "
                 f"critical path does not fit"
             )
-        intervals[rt] = ExecutionInterval(asap[rt], alap[rt])
+        intervals[rt] = ExecutionInterval(asap[i], alap[i])
     return intervals
 
 
@@ -106,24 +102,3 @@ def tighten_with_decision(
                 changed = True
     return updated
 
-
-def _topological(graph: DependenceGraph) -> list[RT]:
-    indegree: dict[RT, int] = {rt: 0 for rt in graph.rts}
-    successors: dict[RT, list] = {rt: [] for rt in graph.rts}
-    for edge in graph.edges:
-        if edge.distance != 0:
-            continue
-        indegree[edge.dst] += 1
-        successors[edge.src].append(edge)
-    stack = [rt for rt, n in indegree.items() if n == 0]
-    order: list[RT] = []
-    while stack:
-        rt = stack.pop()
-        order.append(rt)
-        for edge in successors[rt]:
-            indegree[edge.dst] -= 1
-            if indegree[edge.dst] == 0:
-                stack.append(edge.dst)
-    if len(order) != len(graph.rts):
-        raise SchedulingError("dependence cycle within one iteration")
-    return order

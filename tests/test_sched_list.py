@@ -1,5 +1,7 @@
 """Tests for dependence analysis and the list scheduler."""
 
+import pickle
+
 import pytest
 
 from repro.arch import audio_core
@@ -73,6 +75,28 @@ class TestDependence:
         carries = [e for e in graph.edges if e.kind is EdgeKind.CARRY]
         assert carries
         assert all(e.distance == 1 for e in carries)
+
+    def test_adjacency_indexes_distance_zero_edges(self):
+        _, _, graph = treble_setup(impose=False)
+        adjacency = graph.adjacency
+        expected = sorted(
+            (adjacency.index[e.src], adjacency.index[e.dst], e.delay)
+            for e in graph.edges if e.distance == 0)
+        assert sorted((src, dst, delay)
+                      for src, successors in enumerate(adjacency.successors)
+                      for dst, delay in successors) == expected
+        position = {i: k for k, i in enumerate(adjacency.order)}
+        assert all(position[src] < position[dst] for src, dst, _ in expected)
+
+    def test_adjacency_stays_out_of_pickles(self):
+        # The stage cache pickles dependence graphs; the index is
+        # rebuilt on demand rather than stored.
+        _, _, graph = treble_setup()
+        size = len(pickle.dumps(graph))
+        built = graph.adjacency
+        assert len(pickle.dumps(graph)) == size
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored.adjacency.order == built.order
 
     def test_priorities_decrease_along_edges(self):
         _, _, graph = treble_setup(impose=False)
